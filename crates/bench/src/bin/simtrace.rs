@@ -16,7 +16,7 @@
 //! The first three subcommands replay the BENCH_sched.json headline
 //! workload — the 8×8 ring exchange on the straggler cluster (half the
 //! nodes at quarter speed, seed 7) — under the chosen scheduler
-//! (`list` | `heft` | `lookahead` | `portfolio`) and network model
+//! (`list` | `heft`) and network model
 //! (`default` | `constant` | `shared` | `topology`), then render the
 //! requested analysis. `diff` aligns two schedulers on the same
 //! workload (defaults: `--a list --b heft`) and names the
@@ -53,9 +53,7 @@ fn sched_spec(name: &str) -> SchedulerSpec {
     match name {
         "list" => SchedulerSpec::List,
         "heft" => SchedulerSpec::Heft,
-        "lookahead" => SchedulerSpec::Lookahead { depth: 2 },
-        "portfolio" => SchedulerSpec::default_portfolio(),
-        other => panic!("unknown scheduler {other} (list|heft|lookahead|portfolio)"),
+        other => panic!("unknown scheduler {other} (list|heft)"),
     }
 }
 

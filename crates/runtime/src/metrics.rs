@@ -9,7 +9,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// Internal atomic counters shared by all workers of a pool.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
-    /// Tasks that finished running (including panicked ones).
+    /// Tasks started (including ones that later panicked), counted as
+    /// each starts so a finished task is always included.
     pub executed: AtomicUsize,
     /// Tasks whose closure panicked (the panic is captured, not lost).
     pub panicked: AtomicUsize,
@@ -46,7 +47,8 @@ impl Counters {
 pub struct PoolMetrics {
     /// Number of worker threads in the pool.
     pub threads: usize,
-    /// Total tasks executed so far.
+    /// Total tasks executed so far, counted as each starts: a job that
+    /// has finished, or whose scope has returned, is always included.
     pub executed: usize,
     /// Tasks that panicked; their payloads were captured by the
     /// submitting scope (or counted, for detached tasks).

@@ -223,12 +223,15 @@ impl Shared {
 
     /// Runs a job, capturing panics so a worker thread never dies.
     pub(crate) fn run_job(&self, job: Job) {
+        // Count the job before it runs: a scope job's last act releases
+        // its scope, so `scope()` can return before this function does,
+        // and its caller must already see the job counted.
+        self.counters.executed.fetch_add(1, Ordering::Relaxed);
         // The panic (if any) is surfaced through the owning `Scope`; for
         // detached `execute` jobs it is counted and dropped.
         if panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
             self.counters.panicked.fetch_add(1, Ordering::Relaxed);
         }
-        self.counters.executed.fetch_add(1, Ordering::Relaxed);
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 

@@ -98,7 +98,7 @@ use rand::RngExt;
 use crate::cluster::ClusterSpec;
 use crate::event_core::{ComponentId, Ev, EventCore, EventHandler};
 use crate::failure::{FailurePlan, NodeFailurePlan};
-use crate::sched::{candidates, CritComposition, SchedView, Scheduler, SlotState};
+use crate::sched::{candidates, SchedView, Scheduler, SlotState};
 use crate::sim::Simulation;
 use crate::stats::CommitAccounting;
 use crate::time::SimTime;
@@ -479,7 +479,6 @@ impl AsyncRun<'_> {
                     slots: &self.slots,
                     finish: &self.finish,
                     node_of: &self.node_of,
-                    done: &self.done,
                     gate: &self.gate,
                     excluded: &self.excluded,
                 };
@@ -650,52 +649,12 @@ impl AsyncRun<'_> {
             }
         }
     }
-
-    /// The compute/wire/queue composition of the critical path through
-    /// the schedule committed so far: from the latest-finishing
-    /// committed task backwards along each recorded critical input
-    /// edge ([`AsyncScheduleStats::task_crit_dep`] semantics). Empty
-    /// before anything committed. Rollbacks transitively invalidate
-    /// dependents, so a committed task's recorded edge always points at
-    /// a committed dependency with its current finish time.
-    fn committed_composition(&self) -> CritComposition {
-        let mut comp = CritComposition::default();
-        let Some(sink) = (0..self.tasks.len())
-            .filter(|&i| self.done[i])
-            .max_by_key(|&i| (self.finish[i], std::cmp::Reverse(i)))
-        else {
-            return comp;
-        };
-        let mut cur = sink;
-        loop {
-            comp.compute += self.dur[cur];
-            match self.crit_dep[cur] {
-                Some((dep, arrival)) if self.done[dep] => {
-                    // start >= arrival >= finish[dep] by construction,
-                    // so neither subtraction can underflow.
-                    let start = self.finish[cur] - self.dur[cur];
-                    comp.queue += start - arrival;
-                    comp.wire += arrival - self.finish[dep];
-                    cur = dep;
-                }
-                _ => break,
-            }
-        }
-        comp
-    }
 }
 
 impl EventHandler for AsyncRun<'_> {
     fn on_event(&mut self, core: &mut EventCore, _at: SimTime, ev: Ev) {
         match ev {
             Ev::EpochStart { epoch } => {
-                // Feed the committed critical-path composition forward
-                // before this boundary's verdicts or placements — the
-                // signal is what previous epochs actually bound on
-                // (empty at the first boundary, so single-boundary runs
-                // see no behavior change from feedback-aware policies).
-                let feedback = self.committed_composition();
-                self.scheduler.epoch_feedback(feedback);
                 if self.node_plan.enabled() {
                     if epoch % self.node_plan.checkpoint_interval == 0 {
                         // Trace-only: the session checkpointed its
@@ -722,24 +681,13 @@ impl EventHandler for AsyncRun<'_> {
                     .filter(|&i| !self.done[i] && self.tasks[i].iteration <= epoch)
                     .collect();
                 if !pending.is_empty() {
-                    let order = {
-                        let view = SchedView {
-                            tasks: self.tasks,
-                            consumers: &self.consumers,
-                            spec: self.spec,
-                            net: core.net(),
-                        };
-                        let st = SlotState {
-                            slots: &self.slots,
-                            finish: &self.finish,
-                            node_of: &self.node_of,
-                            done: &self.done,
-                            gate: &self.gate,
-                            excluded: &self.excluded,
-                        };
-                        self.scheduler.begin_epoch(&view, &st, &pending);
-                        self.scheduler.order(&view, &pending)
+                    let view = SchedView {
+                        tasks: self.tasks,
+                        consumers: &self.consumers,
+                        spec: self.spec,
+                        net: core.net(),
                     };
+                    let order = self.scheduler.order(&view, &pending);
                     debug_assert_eq!(
                         {
                             let mut sorted = order.clone();
@@ -1057,22 +1005,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one member")]
-    fn literally_constructed_empty_portfolio_is_rejected_at_injection() {
-        use crate::sched::SchedulerSpec;
-        let _ = Simulation::new(ClusterSpec::ec2_2010(), 1)
-            .with_scheduler(SchedulerSpec::Portfolio { members: Vec::new() });
-    }
-
-    #[test]
-    #[should_panic(expected = "depth must be at least 1")]
-    fn literally_constructed_zero_depth_lookahead_is_rejected_at_injection() {
-        use crate::sched::SchedulerSpec;
-        let _ = Simulation::new(ClusterSpec::ec2_2010(), 1)
-            .with_scheduler(SchedulerSpec::Lookahead { depth: 0 });
-    }
-
-    #[test]
     fn stats_name_the_scheduler_that_placed_the_run() {
         use crate::sched::SchedulerSpec;
         let tasks = ring_schedule(4, 2, 1_000_000);
@@ -1123,6 +1055,7 @@ mod tests {
         assert!(stats.commit.overruns > 0, "contention must delay some commits");
         assert!(stats.commit.overrun_time > SimTime::ZERO);
         assert_eq!(stats.commit.violations, 0, "no commit may beat its estimate");
+        assert_eq!(stats.commit.time_underflows, 0, "no time subtraction may underflow");
     }
 
     #[test]
@@ -1148,37 +1081,10 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_feedback_is_deterministic_across_epochs() {
-        use crate::failure::NodeFailurePlan;
-        use crate::sched::SchedulerSpec;
-        // A node plan forces one boundary per epoch, so from the second
-        // boundary on the portfolio races with a live feed-forward
-        // hint. The hint is a pure function of committed state:
-        // repeating the run must reproduce every placement and finish.
-        let tasks = ring_schedule(8, 6, 20_000_000);
-        let run = || {
-            Simulation::new(ClusterSpec::ec2_2010(), 9)
-                .with_node_failures(NodeFailurePlan::correlated(0.2, 1, 3))
-                .with_scheduler(SchedulerSpec::default_portfolio())
-                .run_async_schedule(&tasks)
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.tasks, tasks.len(), "all work completes under feedback");
-        assert_eq!(a.task_node, b.task_node, "placements are reproducible");
-        assert_eq!(a.task_finish, b.task_finish, "finishes are reproducible");
-        assert_eq!(a.duration, b.duration);
-    }
-
-    #[test]
     fn every_scheduler_completes_the_dag_in_dependency_order() {
         use crate::network::SharedBandwidth;
         use crate::sched::SchedulerSpec;
-        let specs = [
-            SchedulerSpec::List,
-            SchedulerSpec::Heft,
-            SchedulerSpec::Lookahead { depth: 2 },
-            SchedulerSpec::default_portfolio(),
-        ];
+        let specs = [SchedulerSpec::List, SchedulerSpec::Heft];
         let tasks = ring_schedule(8, 5, 20_000_000);
         for sched in specs {
             let name = sched.name();
@@ -1191,6 +1097,7 @@ mod tests {
                 .run_async_schedule(&tasks);
             assert_eq!(stats.tasks, tasks.len(), "{name}: all work must complete");
             assert_eq!(stats.commit.violations, 0, "{name}: no early commits");
+            assert_eq!(stats.commit.time_underflows, 0, "{name}: no time underflows");
             for (i, t) in tasks.iter().enumerate() {
                 for &d in &t.deps {
                     assert!(

@@ -63,10 +63,7 @@ pub use event_core::{ComponentId, Ev, EventCore, EventHandler, TraceEvent};
 pub use failure::{splitmix64, verdict_unit, FailurePlan, NodeFailurePlan};
 pub use job::{JobSpec, MapTaskSpec, ReduceTaskSpec};
 pub use network::{Constant, NetworkModel, NetworkState, SharedBandwidth, TopologyAware};
-pub use sched::{
-    Candidate, CritComponent, CritComposition, Heft, ListScheduler, Lookahead, Portfolio,
-    SchedView, Scheduler, SchedulerSpec, SlotState,
-};
+pub use sched::{Candidate, Heft, ListScheduler, SchedView, Scheduler, SchedulerSpec, SlotState};
 pub use sim::Simulation;
 pub use stats::{CommitAccounting, JobStats, PhaseBreakdown, RunTotals};
 pub use time::{underflow_count, SimTime};

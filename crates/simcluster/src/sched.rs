@@ -5,18 +5,16 @@
 //! greedy policy: visit pending tasks in list order and place each on
 //! the slot with the earliest *estimated* start
 //! ([`NetworkModel::estimate`]). That policy survives bit-identically as
-//! [`ListScheduler`], the default. Around it, this module adds the
-//! classic alternatives from the DAG-scheduling literature:
+//! [`ListScheduler`], the default. Beside it, this module adds the
+//! classic alternative from the DAG-scheduling literature:
 //!
 //! | scheduler | ordering | slot choice |
 //! |---|---|---|
 //! | [`ListScheduler`] | list (topological) order | earliest estimated **start** |
 //! | [`Heft`] | upward-rank (critical path first) | earliest estimated **finish** (speed-aware) |
-//! | [`Lookahead`] | list order | contention-inflated finish + child-frontier penalty from live [`NetworkModel::utilization`] |
-//! | [`Portfolio`] | winner's | races its members per epoch on cloned estimate state; commits the winner |
 //!
 //! Every policy decides from **estimates only** — pure reads of the
-//! network model and the cloned slot state — and draws no randomness,
+//! network model and the borrowed slot state — and draws no randomness,
 //! so the replay stays a pure function of
 //! `(ClusterSpec, FailurePlan, NodeFailurePlan, NetworkModel,
 //! SchedulerSpec, seed, tasks)`: the same determinism contract the
@@ -52,67 +50,14 @@ pub enum SchedulerSpec {
     /// earliest-finish slot choice. The classic win on clusters with
     /// heterogeneous node speeds.
     Heft,
-    /// Contention-aware greedy: inflates dependency-arrival estimates
-    /// by live link utilization and charges a discounted child-frontier
-    /// penalty, so committed transfers land closer to their estimates
-    /// under the fluid models.
-    Lookahead {
-        /// How many dependent hops of the child frontier the penalty
-        /// looks at (≥ 1; deeper hops are discounted 2× per hop).
-        depth: usize,
-    },
-    /// Races its members on cloned estimate state at every epoch
-    /// boundary and commits the whole epoch through the winner
-    /// (deterministically: estimates only, first member wins ties).
-    Portfolio {
-        /// The racing schedulers, in tie-break priority order. Must be
-        /// non-empty and must not nest another portfolio.
-        members: Vec<SchedulerSpec>,
-    },
 }
 
 impl SchedulerSpec {
-    /// The default portfolio: greedy, HEFT, and 1-hop lookahead racing.
-    pub fn default_portfolio() -> Self {
-        SchedulerSpec::Portfolio {
-            members: vec![
-                SchedulerSpec::List,
-                SchedulerSpec::Heft,
-                SchedulerSpec::Lookahead { depth: 1 },
-            ],
-        }
-    }
-
     /// Short stable name (bench/JSON keys, stats labels).
     pub fn name(&self) -> &'static str {
         match self {
             SchedulerSpec::List => "list",
             SchedulerSpec::Heft => "heft",
-            SchedulerSpec::Lookahead { .. } => "lookahead",
-            SchedulerSpec::Portfolio { .. } => "portfolio",
-        }
-    }
-
-    /// Panics unless the spec is well-formed (the injection-time check
-    /// [`crate::Simulation::with_scheduler`] performs, mirroring
-    /// [`crate::FailurePlan::validate`]): lookahead depth ≥ 1,
-    /// portfolios non-empty and non-nested.
-    pub fn validate(&self) {
-        match self {
-            SchedulerSpec::List | SchedulerSpec::Heft => {}
-            SchedulerSpec::Lookahead { depth } => {
-                assert!(*depth >= 1, "lookahead depth must be at least 1, got {depth}");
-            }
-            SchedulerSpec::Portfolio { members } => {
-                assert!(!members.is_empty(), "portfolio must have at least one member scheduler");
-                for m in members {
-                    assert!(
-                        !matches!(m, SchedulerSpec::Portfolio { .. }),
-                        "portfolio members cannot be portfolios themselves"
-                    );
-                    m.validate();
-                }
-            }
         }
     }
 
@@ -123,10 +68,6 @@ impl SchedulerSpec {
         match self {
             SchedulerSpec::List => Box::new(ListScheduler),
             SchedulerSpec::Heft => Box::new(Heft::new()),
-            SchedulerSpec::Lookahead { depth } => Box::new(Lookahead::new(*depth)),
-            SchedulerSpec::Portfolio { members } => {
-                Box::new(Portfolio::new(members.iter().map(|m| m.instantiate()).collect()))
-            }
         }
     }
 }
@@ -140,7 +81,7 @@ pub struct SchedView<'a> {
     pub consumers: &'a [u32],
     /// The cluster the schedule runs on.
     pub spec: &'a ClusterSpec,
-    /// The network model, for pure estimates and live utilization.
+    /// The network model, for pure estimates and wire times.
     pub net: &'a dyn NetworkModel,
 }
 
@@ -151,17 +92,15 @@ impl SchedView<'_> {
     }
 }
 
-/// The mutable placement state a decision ranks against — borrowed from
-/// the live run, or from a portfolio's cloned dry-run copy.
+/// The mutable placement state a decision ranks against, borrowed from
+/// the live run.
 pub struct SlotState<'a> {
     /// `(free instant, node)` per map slot.
     pub slots: &'a [(SimTime, usize)],
-    /// Committed (or dry-run estimated) finish per task.
+    /// Committed finish per task.
     pub finish: &'a [SimTime],
     /// Node each placed task ran on.
     pub node_of: &'a [usize],
-    /// Whether each task has been placed.
-    pub done: &'a [bool],
     /// Per-task dispatch gate (death-detection delays).
     pub gate: &'a [SimTime],
     /// Per-task placement exclusion (the node that lost it).
@@ -229,86 +168,15 @@ pub fn candidates(
     out
 }
 
-/// One component of a critical-path composition — where the committed
-/// schedule's binding chain spent its time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CritComponent {
-    /// Attempt occupancy (launch + read + compute + sort) dominates.
-    Compute,
-    /// Cross-node transfer time of critical input edges dominates.
-    Wire,
-    /// Slot-contention / dispatch-gate waits dominate.
-    Queue,
-}
-
-/// The compute/wire/queue split of the critical path through a
-/// partially committed schedule — the feed-forward signal the replay
-/// hands every scheduler at each epoch boundary
-/// ([`Scheduler::epoch_feedback`]).
-///
-/// A pure function of the committed state (recorded finishes and
-/// critical input edges), so consuming it keeps the replay's
-/// determinism contract intact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CritComposition {
-    /// Summed attempt occupancy along the committed chain.
-    pub compute: SimTime,
-    /// Summed critical-edge wire time along the committed chain.
-    pub wire: SimTime,
-    /// Summed queue wait along the committed chain.
-    pub queue: SimTime,
-}
-
-impl CritComposition {
-    /// True before anything committed (no signal to act on).
-    pub fn is_empty(&self) -> bool {
-        self.compute == SimTime::ZERO && self.wire == SimTime::ZERO && self.queue == SimTime::ZERO
-    }
-
-    /// The largest component, or `None` when empty. Ties break
-    /// compute > wire > queue (deterministic).
-    pub fn dominant(&self) -> Option<CritComponent> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut best = (CritComponent::Compute, self.compute);
-        for cand in [(CritComponent::Wire, self.wire), (CritComponent::Queue, self.queue)] {
-            if cand.1 > best.1 {
-                best = cand;
-            }
-        }
-        Some(best.0)
-    }
-}
-
 /// A task-ordering and slot-choice policy for the async replay.
 ///
 /// Implementations must be pure functions of their inputs: no
 /// randomness, no hidden clocks — determinism across the scheduler
 /// matrix is part of the replay contract. All methods take `&mut self`
-/// so implementations may keep per-run caches (HEFT ranks, consumer
-/// adjacency) and so [`Portfolio`] can delegate.
+/// so implementations may keep per-run caches (HEFT ranks).
 pub trait Scheduler: fmt::Debug + Send {
     /// Short stable name (stats label).
     fn name(&self) -> &'static str;
-
-    /// Called at each epoch boundary — before the boundary's failure
-    /// verdicts and before [`Scheduler::begin_epoch`] — with the
-    /// critical-path composition of the schedule committed so far
-    /// (empty at the first boundary). A deterministic function of
-    /// committed state, so acting on it cannot break the replay
-    /// contract. Default no-op; [`Portfolio`] uses it to bias its race
-    /// toward the member built for the binding component.
-    fn epoch_feedback(&mut self, prev: CritComposition) {
-        let _ = prev;
-    }
-
-    /// Called once per epoch boundary with the pending set, before any
-    /// ordering/placement. [`Portfolio`] races its members here; other
-    /// schedulers need nothing (default no-op).
-    fn begin_epoch(&mut self, view: &SchedView<'_>, state: &SlotState<'_>, pending: &[usize]) {
-        let _ = (view, state, pending);
-    }
 
     /// The dispatch order for this epoch's pending tasks (a permutation
     /// of `pending`; must keep every task after the dependencies it has
@@ -454,291 +322,6 @@ impl Scheduler for Heft {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Lookahead: contention-inflated estimates + child-frontier penalty.
-// ---------------------------------------------------------------------------
-
-/// The floor on a link's availability factor: even a saturated link
-/// makes *some* progress once flows drain, so inflation is capped at
-/// 20× rather than diverging.
-const MIN_AVAIL: f64 = 0.05;
-
-/// Per-hop discount of the child-frontier penalty (hop `h` counts at
-/// `0.5^(h-1)`).
-const HOP_DISCOUNT: f64 = 0.5;
-
-/// Contention-aware greedy, fixing the greedy-admission gap: the pure
-/// [`NetworkModel::estimate`] ignores in-flight flows, so under the
-/// fluid models a committed transfer routinely lands *later* than the
-/// estimate that ranked its slot. Lookahead re-prices each candidate
-/// against live [`NetworkModel::utilization`] — dependency arrivals are
-/// inflated by the residual availability of the producer's transmit
-/// link and the candidate's receive link — and adds a discounted
-/// penalty for the unplaced child frontier (up to `depth` hops) whose
-/// fetches will leave through the candidate node's transmit link.
-///
-/// On models that report no utilization ([`crate::Constant`], the
-/// default [`crate::NetworkState`]) this degrades exactly to
-/// earliest-finish choice in list order.
-#[derive(Debug)]
-pub struct Lookahead {
-    depth: usize,
-    /// Dependents adjacency (computed lazily, once per replay).
-    dependents: Option<Vec<Vec<u32>>>,
-}
-
-impl Lookahead {
-    /// A lookahead scheduler scanning `depth ≥ 1` dependent hops.
-    pub fn new(depth: usize) -> Self {
-        assert!(depth >= 1, "lookahead depth must be at least 1, got {depth}");
-        Lookahead { depth, dependents: None }
-    }
-
-    fn dependents<'s>(&'s mut self, view: &SchedView<'_>) -> &'s [Vec<u32>] {
-        self.dependents.get_or_insert_with(|| {
-            let mut adj: Vec<Vec<u32>> = vec![Vec::new(); view.tasks.len()];
-            for (i, t) in view.tasks.iter().enumerate() {
-                for &d in &t.deps {
-                    adj[d].push(i as u32);
-                }
-            }
-            adj
-        })
-    }
-
-    /// Residual availability of link `l`: `(cap − util) / cap`,
-    /// clamped to `[MIN_AVAIL, 1]`.
-    fn avail(util: &[f64], caps: &[f64], l: usize) -> f64 {
-        if l >= util.len() || caps[l] <= 0.0 {
-            return 1.0;
-        }
-        ((caps[l] - util[l]) / caps[l]).clamp(MIN_AVAIL, 1.0)
-    }
-
-    /// Discounted serialization seconds of the unplaced child frontier
-    /// within `depth` hops of `task` — the traffic that will contend
-    /// for the chosen node's transmit link.
-    fn frontier_secs(&mut self, view: &SchedView<'_>, state: &SlotState<'_>, task: usize) -> f64 {
-        let depth = self.depth;
-        let deps = self.dependents(view);
-        let mut frontier = vec![task];
-        let mut secs = 0.0;
-        let mut weight = 1.0;
-        for _hop in 0..depth {
-            let mut next = Vec::new();
-            for &p in &frontier {
-                let out = view.net.wire_time(view.share(p)).as_secs_f64();
-                for &c in &deps[p] {
-                    if !state.done[c as usize] {
-                        secs += out * weight;
-                        next.push(c as usize);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-            weight *= HOP_DISCOUNT;
-        }
-        secs
-    }
-}
-
-impl Scheduler for Lookahead {
-    fn name(&self) -> &'static str {
-        "lookahead"
-    }
-
-    fn order(&mut self, _view: &SchedView<'_>, pending: &[usize]) -> Vec<usize> {
-        pending.to_vec()
-    }
-
-    fn choose(
-        &mut self,
-        view: &SchedView<'_>,
-        state: &SlotState<'_>,
-        task: usize,
-        candidates: &[Candidate],
-    ) -> usize {
-        let util = view.net.utilization();
-        if util.is_empty() {
-            // No live contention signal: plain earliest finish.
-            let mut best = 0;
-            for (i, c) in candidates.iter().enumerate().skip(1) {
-                if c.est_finish < candidates[best].est_finish {
-                    best = i;
-                }
-            }
-            return best;
-        }
-        let caps = view.net.capacities();
-        let nodes = view.spec.num_nodes();
-        let t = &view.tasks[task];
-        let frontier_secs = self.frontier_secs(view, state, task);
-        // Same-node consumers pay nothing, so weight the out-edge
-        // penalty by the chance a consumer lands remotely.
-        let remote_frac = 1.0 - 1.0 / nodes as f64;
-
-        let mut best = 0;
-        let mut best_score = f64::INFINITY;
-        for (ci, c) in candidates.iter().enumerate() {
-            // Re-estimate dependency arrivals with the contention the
-            // pure estimate ignores: the producer's tx link and this
-            // candidate's rx link each scale the serialization by their
-            // residual availability.
-            let gate = state.gate[task];
-            let mut start = state.slots[c.slot].0.max(gate);
-            for &d in &t.deps {
-                let src = state.node_of[d];
-                let arrival = if src == c.node {
-                    state.finish[d]
-                } else {
-                    let avail = Self::avail(&util, &caps, src).min(Self::avail(
-                        &util,
-                        &caps,
-                        nodes + c.node,
-                    ));
-                    let wire = view.net.wire_time(view.share(d)).as_secs_f64() / avail;
-                    state.finish[d] + SimTime::from_secs_f64(wire)
-                };
-                start = start.max(arrival);
-            }
-            let run = c.est_finish - c.est_start;
-            let finish = (start + run).as_secs_f64();
-            let penalty = frontier_secs * remote_frac / Self::avail(&util, &caps, c.node);
-            let score = finish + penalty;
-            if score < best_score {
-                best_score = score;
-                best = ci;
-            }
-        }
-        best
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Portfolio: race the members per epoch on cloned estimate state.
-// ---------------------------------------------------------------------------
-
-/// Races member schedulers at every epoch boundary: each member
-/// dry-runs the epoch's pending set on a **clone** of the slot/finish
-/// state using estimates only (no RNG draws, no network mutation), and
-/// the member with the smallest estimated epoch makespan commits the
-/// real epoch. Ties go to the earlier member, so the race is
-/// deterministic by construction.
-#[derive(Debug)]
-pub struct Portfolio {
-    members: Vec<Box<dyn Scheduler>>,
-    winner: usize,
-    /// Dominant component of the committed critical path, fed forward
-    /// from the previous epochs via [`Scheduler::epoch_feedback`].
-    hint: Option<CritComponent>,
-}
-
-impl Portfolio {
-    /// A portfolio over `members` (non-empty), in tie-break order.
-    pub fn new(members: Vec<Box<dyn Scheduler>>) -> Self {
-        assert!(!members.is_empty(), "portfolio must have at least one member scheduler");
-        Portfolio { members, winner: 0, hint: None }
-    }
-
-    /// The member a feed-forward hint favors: wire-dominant paths lean
-    /// HEFT (communication-aware ranks), queue-dominant paths lean
-    /// lookahead (contention-aware estimates). Compute-dominant paths
-    /// favor nobody — placement cannot shorten compute.
-    fn favored(&self, member: usize) -> bool {
-        match self.hint {
-            Some(CritComponent::Wire) => self.members[member].name() == "heft",
-            Some(CritComponent::Queue) => self.members[member].name() == "lookahead",
-            _ => false,
-        }
-    }
-
-    /// Dry-runs one member over `pending` on cloned state, returning
-    /// the estimated epoch makespan (max estimated finish committed to
-    /// the clone — placements feed later estimates, exactly like the
-    /// real loop, just without the network/RNG side effects).
-    fn dry_run(
-        member: &mut Box<dyn Scheduler>,
-        view: &SchedView<'_>,
-        state: &SlotState<'_>,
-        pending: &[usize],
-    ) -> SimTime {
-        let mut slots = state.slots.to_vec();
-        let mut finish = state.finish.to_vec();
-        let mut node_of = state.node_of.to_vec();
-        let mut done = state.done.to_vec();
-        let order = member.order(view, pending);
-        debug_assert_eq!(order.len(), pending.len(), "order must be a permutation");
-        let mut makespan = SimTime::ZERO;
-        for &i in &order {
-            let st = SlotState {
-                slots: &slots,
-                finish: &finish,
-                node_of: &node_of,
-                done: &done,
-                gate: state.gate,
-                excluded: state.excluded,
-            };
-            let cands = candidates(view, &st, i, SimTime::ZERO);
-            let pick = member.choose(view, &st, i, &cands);
-            let c = cands[pick];
-            finish[i] = c.est_finish;
-            node_of[i] = c.node;
-            done[i] = true;
-            slots[c.slot].0 = c.est_finish;
-            makespan = makespan.max(c.est_finish);
-        }
-        makespan
-    }
-}
-
-impl Scheduler for Portfolio {
-    fn name(&self) -> &'static str {
-        "portfolio"
-    }
-
-    fn epoch_feedback(&mut self, prev: CritComposition) {
-        self.hint = prev.dominant();
-    }
-
-    fn begin_epoch(&mut self, view: &SchedView<'_>, state: &SlotState<'_>, pending: &[usize]) {
-        let mut best = SimTime::from_micros(u64::MAX);
-        self.winner = 0;
-        for m in 0..self.members.len() {
-            let makespan = Self::dry_run(&mut self.members[m], view, state, pending);
-            // The feed-forward hint discounts the favored member's
-            // estimate by 1/64 (~1.6%): enough to break near-ties
-            // toward the member built for the binding component, never
-            // enough to override a real estimate gap. Deterministic —
-            // the hint is a pure function of committed state.
-            let us = makespan.as_micros();
-            let scored =
-                if self.favored(m) { SimTime::from_micros(us - us / 64) } else { makespan };
-            // Strict `<`: the earlier member keeps ties.
-            if scored < best {
-                best = scored;
-                self.winner = m;
-            }
-        }
-    }
-
-    fn order(&mut self, view: &SchedView<'_>, pending: &[usize]) -> Vec<usize> {
-        self.members[self.winner].order(view, pending)
-    }
-
-    fn choose(
-        &mut self,
-        view: &SchedView<'_>,
-        state: &SlotState<'_>,
-        task: usize,
-        candidates: &[Candidate],
-    ) -> usize {
-        self.members[self.winner].choose(view, state, task, candidates)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,61 +330,6 @@ mod tests {
     fn spec_names_are_stable() {
         assert_eq!(SchedulerSpec::List.name(), "list");
         assert_eq!(SchedulerSpec::Heft.name(), "heft");
-        assert_eq!(SchedulerSpec::Lookahead { depth: 2 }.name(), "lookahead");
-        assert_eq!(SchedulerSpec::default_portfolio().name(), "portfolio");
-    }
-
-    #[test]
-    fn default_portfolio_validates() {
-        SchedulerSpec::default_portfolio().validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one member")]
-    fn empty_portfolio_is_rejected() {
-        SchedulerSpec::Portfolio { members: Vec::new() }.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be portfolios")]
-    fn nested_portfolio_is_rejected() {
-        SchedulerSpec::Portfolio { members: vec![SchedulerSpec::default_portfolio()] }.validate();
-    }
-
-    #[test]
-    fn composition_dominant_is_deterministic_and_empty_aware() {
-        let t = SimTime::from_micros;
-        assert_eq!(CritComposition::default().dominant(), None);
-        let c = CritComposition { compute: t(5), wire: t(9), queue: t(2) };
-        assert_eq!(c.dominant(), Some(CritComponent::Wire));
-        let q = CritComposition { compute: t(1), wire: t(1), queue: t(8) };
-        assert_eq!(q.dominant(), Some(CritComponent::Queue));
-        // Ties break compute > wire > queue.
-        let tie = CritComposition { compute: t(4), wire: t(4), queue: t(4) };
-        assert_eq!(tie.dominant(), Some(CritComponent::Compute));
-    }
-
-    #[test]
-    fn feedback_hint_favors_the_member_built_for_the_binding_component() {
-        let members =
-            [SchedulerSpec::List, SchedulerSpec::Heft, SchedulerSpec::Lookahead { depth: 1 }];
-        let mut p = Portfolio::new(members.iter().map(|m| m.instantiate()).collect());
-        assert!((0..3).all(|m| !p.favored(m)), "no hint, no favorite");
-        let t = SimTime::from_micros;
-        p.epoch_feedback(CritComposition { wire: t(10), ..CritComposition::default() });
-        assert!(p.favored(1) && !p.favored(0) && !p.favored(2), "wire-dominant leans HEFT");
-        p.epoch_feedback(CritComposition { queue: t(10), ..CritComposition::default() });
-        assert!(p.favored(2) && !p.favored(1), "queue-dominant leans lookahead");
-        p.epoch_feedback(CritComposition { compute: t(10), ..CritComposition::default() });
-        assert!((0..3).all(|m| !p.favored(m)), "placement cannot shorten compute");
-        p.epoch_feedback(CritComposition::default());
-        assert!((0..3).all(|m| !p.favored(m)), "empty composition clears the hint");
-    }
-
-    #[test]
-    #[should_panic(expected = "depth must be at least 1")]
-    fn zero_depth_lookahead_is_rejected() {
-        SchedulerSpec::Lookahead { depth: 0 }.validate();
     }
 
     #[test]

@@ -115,15 +115,8 @@ impl Simulation {
     /// Selects the async replay's placement policy (builder-style,
     /// before any run). The default [`SchedulerSpec::List`] is the
     /// pre-trait greedy, pinned byte-identical by the replay-fidelity
-    /// goldens; see [`crate::sched`] for the alternatives.
-    ///
-    /// # Panics
-    ///
-    /// If the spec is malformed ([`SchedulerSpec::validate`]: zero
-    /// lookahead depth, empty or nested portfolio) — the same
-    /// injection-time check [`Simulation::with_failures`] performs.
+    /// goldens; see [`crate::sched`] for the alternative.
     pub fn with_scheduler(mut self, sched: SchedulerSpec) -> Self {
-        sched.validate();
         self.sched = sched;
         self
     }

@@ -21,14 +21,12 @@ use proptest::prelude::*;
 const MODELS: [&str; 4] = ["default", "constant", "shared", "topology"];
 
 /// The scheduler matrix the async properties additionally sweep.
-const SCHEDS: [&str; 4] = ["list", "heft", "lookahead", "portfolio"];
+const SCHEDS: [&str; 2] = ["list", "heft"];
 
 fn sched_spec(name: &str) -> SchedulerSpec {
     match name {
         "list" => SchedulerSpec::List,
         "heft" => SchedulerSpec::Heft,
-        "lookahead" => SchedulerSpec::Lookahead { depth: 2 },
-        "portfolio" => SchedulerSpec::default_portfolio(),
         other => panic!("unknown scheduler {other}"),
     }
 }
@@ -158,6 +156,10 @@ proptest! {
                 prop_assert_eq!(
                     sa.commit.violations, 0,
                     "{}/{}: a commit may never beat its estimate", model, sched
+                );
+                prop_assert_eq!(
+                    sa.commit.time_underflows, 0,
+                    "{}/{}: no time subtraction may underflow", model, sched
                 );
                 if sched == "list" {
                     let mut d = sim_on(model, seed);

@@ -29,14 +29,12 @@ use asyncmr_simcluster::{
 use proptest::prelude::*;
 
 const MODELS: [&str; 4] = ["default", "constant", "shared", "topology"];
-const SCHEDS: [&str; 4] = ["list", "heft", "lookahead", "portfolio"];
+const SCHEDS: [&str; 2] = ["list", "heft"];
 
 fn sched_spec(name: &str) -> SchedulerSpec {
     match name {
         "list" => SchedulerSpec::List,
         "heft" => SchedulerSpec::Heft,
-        "lookahead" => SchedulerSpec::Lookahead { depth: 2 },
-        "portfolio" => SchedulerSpec::default_portfolio(),
         other => panic!("unknown scheduler {other}"),
     }
 }
