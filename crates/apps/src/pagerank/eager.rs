@@ -212,15 +212,7 @@ pub fn run_eager(
     let init = vec![1.0f64; n];
     let mut remote_in = Arc::new(initial_remote_in(&partitions, &init, n));
     let mut ranks = Arc::new(init);
-    let algo = PrLocalAlgorithm {
-        damping: cfg.damping,
-        // The inner solve stops when successive local iterates differ
-        // by < local_tolerance, which bounds the *true* local fixpoint
-        // error by ~local_tolerance/(1−χ). Solving to tolerance·(1−χ)/2
-        // keeps that error below half the global threshold, so local
-        // noise can never stall the global convergence test.
-        local_tolerance: cfg.tolerance * (1.0 - cfg.damping) * 0.5,
-    };
+    let algo = PrLocalAlgorithm { damping: cfg.damping, local_tolerance: cfg.local_tolerance() };
     let gmap = EagerMapper::new(algo);
     let greduce = PrEagerReducer { damping: cfg.damping };
     let opts = JobOptions::with_reducers(cfg.num_reducers).with_grouping(cfg.grouping);

@@ -46,6 +46,20 @@ pub struct PageRankConfig {
     pub grouping: asyncmr_core::GroupingStrategy,
 }
 
+impl PageRankConfig {
+    /// The §V local-convergence threshold: each gmap's inner solve
+    /// stops when successive local iterates differ by less than this.
+    /// That bounds the *true* local fixpoint error by
+    /// ~threshold/(1−χ), so solving to tolerance·(1−χ)/2 keeps it below
+    /// half the global threshold, and local noise can never stall the
+    /// global convergence test. The barrier (`run_eager`) and session
+    /// (`run_async`) paths both read it here, which keeps their local
+    /// solves, and so lag-0 byte-identity, in step.
+    pub fn local_tolerance(&self) -> f64 {
+        self.tolerance * (1.0 - self.damping) * 0.5
+    }
+}
+
 impl Default for PageRankConfig {
     fn default() -> Self {
         PageRankConfig {

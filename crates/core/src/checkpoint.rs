@@ -62,10 +62,6 @@ pub enum CheckpointPolicy {
     /// Smaller `k` bounds rollback tighter but writes more checkpoint
     /// bytes — the sweep axis in `iterate_bench`.
     EveryK(usize),
-    /// Snapshot whenever the state bytes delivered since the last
-    /// checkpoint reach the budget (`≥ 1`). Adapts the interval to the
-    /// workload: big partitions checkpoint often, small ones rarely.
-    ByteBudget(u64),
 }
 
 impl CheckpointPolicy {
@@ -75,19 +71,13 @@ impl CheckpointPolicy {
     }
 
     /// Panics unless the parameters are in range (`EveryK(k)` needs
-    /// `k ≥ 1`, `ByteBudget(b)` needs `b ≥ 1`). Called once at the
-    /// start of [`crate::session::AsyncFixedPointDriver::run`], so a
+    /// `k ≥ 1`). Called once at the start of
+    /// [`crate::session::AsyncFixedPointDriver::run`], so a
     /// literally-constructed degenerate policy is rejected before it
     /// can bias a run.
     pub fn validate(&self) {
-        match *self {
-            CheckpointPolicy::Off => {}
-            CheckpointPolicy::EveryK(k) => {
-                assert!(k >= 1, "checkpoint interval must be at least 1 iteration");
-            }
-            CheckpointPolicy::ByteBudget(b) => {
-                assert!(b >= 1, "checkpoint byte budget must be at least 1 byte");
-            }
+        if let CheckpointPolicy::EveryK(k) = *self {
+            assert!(k >= 1, "checkpoint interval must be at least 1 iteration");
         }
     }
 }
@@ -190,8 +180,6 @@ pub struct CheckpointTracker {
     last: usize,
     /// Checkpoints declared (excluding the implicit iteration 0).
     taken: usize,
-    /// Bytes delivered since the last checkpoint (byte-budget policy).
-    bytes_since: u64,
     /// Total bytes a durable store would have written.
     checkpoint_bytes: u64,
 }
@@ -200,7 +188,7 @@ impl CheckpointTracker {
     /// A tracker for `policy`, rooted at the implicit iteration-0
     /// checkpoint.
     pub fn new(policy: CheckpointPolicy) -> Self {
-        CheckpointTracker { policy, last: 0, taken: 0, bytes_since: 0, checkpoint_bytes: 0 }
+        CheckpointTracker { policy, last: 0, taken: 0, checkpoint_bytes: 0 }
     }
 
     /// Whether checkpoints are ever declared.
@@ -241,27 +229,13 @@ impl CheckpointTracker {
         let declare = match self.policy {
             CheckpointPolicy::Off => false,
             CheckpointPolicy::EveryK(k) => frontier.is_multiple_of(k.max(1)),
-            CheckpointPolicy::ByteBudget(b) => {
-                self.bytes_since = self.bytes_since.saturating_add(snapshot_bytes);
-                self.bytes_since >= b
-            }
         };
         if declare {
             self.last = frontier;
             self.taken += 1;
             self.checkpoint_bytes += snapshot_bytes;
-            self.bytes_since = 0;
         }
         declare
-    }
-
-    /// Reports that a rollback rewound the frontier to the last
-    /// checkpoint: everything delivered past it was discarded, so the
-    /// byte-budget accumulator restarts from zero. Without this, the
-    /// re-advance over rolled-back ground would count the same
-    /// iterations' bytes twice and fire the next checkpoint early.
-    pub fn on_rollback(&mut self) {
-        self.bytes_since = 0;
     }
 }
 
@@ -274,22 +248,14 @@ mod tests {
         assert_eq!(CheckpointPolicy::default(), CheckpointPolicy::Off);
         assert!(!CheckpointPolicy::Off.enabled());
         assert!(CheckpointPolicy::EveryK(4).enabled());
-        assert!(CheckpointPolicy::ByteBudget(1 << 20).enabled());
         CheckpointPolicy::Off.validate();
         CheckpointPolicy::EveryK(1).validate();
-        CheckpointPolicy::ByteBudget(1).validate();
     }
 
     #[test]
     #[should_panic(expected = "checkpoint interval")]
     fn zero_interval_is_rejected() {
         CheckpointPolicy::EveryK(0).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "byte budget")]
-    fn zero_budget_is_rejected() {
-        CheckpointPolicy::ByteBudget(0).validate();
     }
 
     #[test]
@@ -318,34 +284,6 @@ mod tests {
         assert!(t.on_frontier_advance(4, 50));
         assert_eq!(t.checkpoints_taken(), 2);
         assert_eq!(t.checkpoint_bytes(), 100);
-    }
-
-    #[test]
-    fn byte_budget_accumulates_until_the_threshold() {
-        let mut t = CheckpointTracker::new(CheckpointPolicy::ByteBudget(250));
-        assert!(!t.on_frontier_advance(1, 100));
-        assert!(!t.on_frontier_advance(2, 100));
-        assert!(t.on_frontier_advance(3, 100), "300 accumulated ≥ 250 budget");
-        assert_eq!(t.last_checkpoint(), 3);
-        assert_eq!(t.checkpoint_bytes(), 100, "only the snapshot write is billed");
-        // Accumulator reset after the declaration.
-        assert!(!t.on_frontier_advance(4, 200));
-        assert!(t.on_frontier_advance(5, 60));
-    }
-
-    #[test]
-    fn rollback_resets_the_byte_budget_accumulator() {
-        let mut t = CheckpointTracker::new(CheckpointPolicy::ByteBudget(250));
-        assert!(!t.on_frontier_advance(1, 100));
-        assert!(!t.on_frontier_advance(2, 100));
-        // A rollback rewinds the frontier to checkpoint 0; iterations 1
-        // and 2 are discarded and will be re-delivered. Without the
-        // reset, re-advancing would double-count them (400 ≥ 250) and
-        // fire a checkpoint the budget never earned.
-        t.on_rollback();
-        assert!(!t.on_frontier_advance(1, 100));
-        assert!(!t.on_frontier_advance(2, 100));
-        assert!(t.on_frontier_advance(3, 100), "300 since the checkpoint ≥ 250");
     }
 
     #[test]

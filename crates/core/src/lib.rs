@@ -105,8 +105,8 @@ pub use local::{EagerMapper, LocalAlgorithm, LocalMapContext, LocalReduceContext
 pub use obs::SpanRecorder;
 pub use plan::{CombineStage, MapStage, ReduceStage, ScratchArena, ShuffleStage, StageTimings};
 pub use session::{
-    Absorbed, AdaptiveLagConfig, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput,
-    Outbox, SessionFailurePlan, SessionOutcome, SessionReport,
+    Absorbed, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput, Outbox,
+    SessionFailurePlan, SessionOutcome, SessionReport,
 };
 pub use shuffle::{GroupView, Grouped, GroupingStrategy, ShuffleScratch};
 pub use traits::{Combiner, Mapper, Reducer};
@@ -122,8 +122,8 @@ pub mod prelude {
         EagerMapper, LocalAlgorithm, LocalMapContext, LocalReduceContext, LocalState,
     };
     pub use crate::session::{
-        Absorbed, AdaptiveLagConfig, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput,
-        Outbox, SessionFailurePlan, SessionOutcome, SessionReport,
+        Absorbed, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput, Outbox,
+        SessionFailurePlan, SessionOutcome, SessionReport,
     };
     pub use crate::shuffle::GroupingStrategy;
     pub use crate::traits::{Combiner, Mapper, Reducer};

@@ -154,10 +154,6 @@ pub(crate) struct SessionObs {
     /// Per partition: the open blocked-wait, as `(iteration,
     /// start_ns)`, if its parked absorb is currently blocked.
     pub stall_open: Vec<Option<(usize, u64)>>,
-    /// Per partition: the last effective-lag window a mark reported
-    /// (`u64::MAX` = none yet, so the first admission test always
-    /// emits the starting point of the trajectory).
-    pub last_window: Vec<u64>,
     /// `(start_ns, finish_ns)` of the surviving attempt of each
     /// recorded schedule entry, aligned index-for-index with the
     /// session's `schedule` (dead entries are filtered by the same
@@ -172,7 +168,6 @@ impl SessionObs {
             marks: Vec::new(),
             stalls: Vec::new(),
             stall_open: vec![None; partitions],
-            last_window: vec![u64::MAX; partitions],
             task_times: Vec::new(),
         }
     }

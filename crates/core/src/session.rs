@@ -29,7 +29,11 @@
 //!   message is exactly one iteration fresh, and the computed states —
 //!   and the convergence decision — are **byte-identical** to the
 //!   barrier driver's (asserted by the `session_equivalence`
-//!   integration tests); only the schedule differs.
+//!   integration tests); only the schedule differs. `max_lag` is the
+//!   session's whole admission rule: absorb on batches no older than
+//!   `max_lag` iterations, and launch no further ahead than the
+//!   globally-complete frontier plus `max_lag` plus a fixed runahead
+//!   slack.
 //!
 //! Convergence detection stays barrier-equivalent: a partition's delta
 //! counts toward iteration *i* only once it has absorbed *i* against
@@ -85,12 +89,12 @@
 //! derived from data that no longer exists, and the session must
 //! perform real **rollback** rather than re-execution:
 //!
-//! 1. **Checkpoints** ([`crate::checkpoint::CheckpointPolicy`],
-//!    every-k-iterations or byte-budgeted) are declared at frontier
-//!    advances, so they are *coordinated*: the same iteration for every
-//!    partition. The retained history `Arc`s at the checkpoint
-//!    iteration are the snapshot; what a durable store would write is
-//!    metered into [`SessionReport::checkpoint_bytes`].
+//! 1. **Checkpoints** ([`crate::checkpoint::CheckpointPolicy`], every
+//!    k iterations) are declared at frontier advances, so they are
+//!    *coordinated*: the same iteration for every partition. The
+//!    retained history `Arc`s at the checkpoint iteration are the
+//!    snapshot; what a durable store would write is metered into
+//!    [`SessionReport::checkpoint_bytes`].
 //! 2. **Node death** is evaluated once per frontier advance (an
 //!    *epoch*) with a pure `(seed, node, epoch)` verdict, capped per
 //!    node so sessions terminate. The dead node's partitions rewind to
@@ -384,9 +388,8 @@ pub trait AsyncIterative: Sync {
 
     /// Approximate serialized bytes of one partition state — what a
     /// durable checkpoint of it would write, and what holding it in
-    /// history costs. Drives [`SessionReport::checkpoint_bytes`],
-    /// [`SessionReport::peak_state_bytes`], and the
-    /// [`crate::checkpoint::CheckpointPolicy::ByteBudget`] trigger.
+    /// history costs. Drives [`SessionReport::checkpoint_bytes`] and
+    /// [`SessionReport::peak_state_bytes`].
     ///
     /// The default is the shallow `size_of` — exact for plain-data
     /// states (the common trait-test case); override it for states
@@ -446,26 +449,12 @@ pub struct SessionReport {
     pub checkpoint_bytes: u64,
     /// High-water mark of bytes the session held at once: state
     /// history (all retained iterations, all partitions) plus mailbox
-    /// message batches. The measurement behind any cost-aware
-    /// runahead/memory policy — checkpoint retention makes this grow
-    /// with the checkpoint interval.
+    /// message batches. Checkpoint retention makes this grow with the
+    /// checkpoint interval.
     pub peak_state_bytes: u64,
-    /// Speculative launches the
-    /// [`AsyncFixedPointDriver::runahead_byte_budget`] deferred because
-    /// held history+mailbox bytes had crossed the budget (each deferral
-    /// retry counts; 0 without a budget). Deferred work relaunches on
-    /// the next frontier advance, so a tight budget degrades the
-    /// schedule toward barrier pacing without changing any result.
-    pub deferred_launches: usize,
-    /// The staleness bound the session ran under — the fixed
-    /// [`AsyncFixedPointDriver::max_lag`], or the adaptive controller's
-    /// [`AdaptiveLagConfig::cap`] when one is installed.
+    /// The staleness bound the session ran under
+    /// ([`AsyncFixedPointDriver::max_lag`]).
     pub max_lag: usize,
-    /// High-water mark of the per-partition *effective* staleness
-    /// window the run actually used. With the adaptive controller off
-    /// this is exactly `max_lag`; with it on, it is the widest window
-    /// the EWMA reached — never above [`AdaptiveLagConfig::cap`].
-    pub peak_effective_lag: usize,
     /// Real time of the whole session (the driver-level wall).
     pub wall_time: Duration,
     /// Thread-pool activity over this run: a fieldwise delta of
@@ -495,75 +484,6 @@ pub struct SessionOutcome<S> {
     pub report: SessionReport,
 }
 
-/// Straggler-adaptive bounded staleness: instead of one fixed
-/// `max_lag`, each partition's *effective* staleness window tracks an
-/// EWMA of its observed dependency-arrival slack (how many iterations
-/// behind its consumed batches run), clamped to `[floor, cap]`.
-///
-/// Partitions fed by prompt producers keep a narrow window (fresh
-/// reads, fast convergence); partitions starved by a straggler widen
-/// toward `cap` and keep absorbing instead of stalling. The knob only
-/// moves the admission test of `try_absorb`; mailbox retention,
-/// convergence windows, and runahead are all sized for `cap`, so every
-/// batch an effective window may admit is still retained.
-///
-/// `cap = 0` forces the effective window to 0 everywhere, so results
-/// stay **byte-identical to the barrier driver** — the same headline
-/// contract as fixed `max_lag = 0`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveLagConfig {
-    /// Hard upper bound on any partition's effective window. This is
-    /// the value everything conservative is sized by (retention,
-    /// convergence window, runahead) and the bound
-    /// [`SessionReport::peak_effective_lag`] can never exceed.
-    pub cap: usize,
-    /// Lower bound on the effective window (≤ `cap`; default 0). A
-    /// nonzero floor keeps a minimum tolerance even when all deps are
-    /// currently fresh.
-    pub floor: usize,
-    /// EWMA smoothing factor in `(0, 1]`: the weight of the newest
-    /// slack observation. `1.0` reacts instantly; small values smooth
-    /// over transient hiccups.
-    pub alpha: f64,
-}
-
-impl AdaptiveLagConfig {
-    /// A controller bounded by `cap`, with floor 0 and a moderately
-    /// reactive EWMA (`alpha = 0.25`).
-    pub fn new(cap: usize) -> Self {
-        AdaptiveLagConfig { cap, floor: 0, alpha: 0.25 }
-    }
-
-    /// Sets the minimum effective window.
-    pub fn with_floor(mut self, floor: usize) -> Self {
-        self.floor = floor;
-        self
-    }
-
-    /// Sets the EWMA smoothing factor.
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Rejects a literally-constructed config with out-of-range fields
-    /// (called at the start of [`AsyncFixedPointDriver::run`], like
-    /// every other injected plan).
-    pub fn validate(&self) {
-        assert!(
-            self.floor <= self.cap,
-            "adaptive staleness: lag cap {} below floor {}",
-            self.cap,
-            self.floor
-        );
-        assert!(
-            self.alpha > 0.0 && self.alpha <= 1.0,
-            "adaptive staleness: alpha must be in (0, 1], got {}",
-            self.alpha
-        );
-    }
-}
-
 /// Runs an [`AsyncIterative`] computation to convergence with
 /// cross-iteration eager scheduling.
 #[derive(Debug, Clone, Copy)]
@@ -588,24 +508,6 @@ pub struct AsyncFixedPointDriver {
     /// [`NodeFailurePlan::none`]). Validated once at the start of
     /// [`AsyncFixedPointDriver::run`].
     pub node_failures: NodeFailurePlan,
-    /// Cost-aware runahead: when `Some(budget)`, a partition's *next*
-    /// gmap is deferred whenever launching it would be speculative
-    /// (its iteration is past the globally-complete frontier) and the
-    /// session's currently held history+mailbox bytes — the live value
-    /// behind [`SessionReport::peak_state_bytes`] — have reached the
-    /// budget. Frontier-level launches always proceed, so the session
-    /// stays live: under an arbitrarily tight budget the schedule
-    /// degrades to barrier pacing, and results are unchanged at every
-    /// setting (`max_lag` semantics are untouched — the budget only
-    /// *removes* speculation, never admits staler messages).
-    pub runahead_byte_budget: Option<u64>,
-    /// Straggler-adaptive staleness (defaults to `None` = the fixed
-    /// `max_lag` above). When installed, it *supersedes* `max_lag`:
-    /// the session is sized for [`AdaptiveLagConfig::cap`] and each
-    /// partition's admission window adapts within
-    /// `[floor, cap]`. Validated once at the start of
-    /// [`AsyncFixedPointDriver::run`].
-    pub adaptive_lag: Option<AdaptiveLagConfig>,
     /// When `true`, the run records a per-attempt span trace (see
     /// [`crate::obs`]) and attaches it as
     /// [`SessionReport::trace`]. Off by default: an untraced run pays
@@ -630,8 +532,6 @@ impl Default for AsyncFixedPointDriver {
             failures: SessionFailurePlan::none(),
             checkpoints: CheckpointPolicy::Off,
             node_failures: NodeFailurePlan::none(),
-            runahead_byte_budget: None,
-            adaptive_lag: None,
             trace: false,
         }
     }
@@ -681,26 +581,6 @@ impl AsyncFixedPointDriver {
         self
     }
 
-    /// Caps speculative runahead by held bytes (see
-    /// [`AsyncFixedPointDriver::runahead_byte_budget`]): launches past
-    /// the frontier defer while history+mailbox bytes are at or over
-    /// `budget`, and retry on the next frontier advance. Results are
-    /// byte-identical at every budget; only the schedule (and
-    /// [`SessionReport::deferred_launches`]) changes.
-    pub fn with_runahead_budget(mut self, budget: u64) -> Self {
-        self.runahead_byte_budget = Some(budget);
-        self
-    }
-
-    /// Installs the straggler-adaptive staleness controller (see
-    /// [`AdaptiveLagConfig`]), superseding the fixed
-    /// [`AsyncFixedPointDriver::max_lag`]. At `cap = 0` results stay
-    /// byte-identical to the barrier driver.
-    pub fn with_adaptive_lag(mut self, cfg: AdaptiveLagConfig) -> Self {
-        self.adaptive_lag = Some(cfg);
-        self
-    }
-
     /// Enables per-attempt span recording for this run (see
     /// [`crate::obs`]): every launch/gmap/deliver/absorb/blocked-wait/
     /// rollback becomes a timestamped span in
@@ -724,17 +604,10 @@ impl AsyncFixedPointDriver {
         self.failures.validate();
         self.checkpoints.validate();
         self.node_failures.validate();
-        if let Some(cfg) = &self.adaptive_lag {
-            cfg.validate();
-        }
         assert!(
             !self.node_failures.enabled() || self.checkpoints.enabled(),
             "node-failure injection requires a checkpoint policy (nothing to roll back to)"
         );
-        // The staleness bound everything conservative is sized by:
-        // the adaptive controller's cap when installed, else the fixed
-        // knob. Adaptation only ever *narrows* admission below this.
-        let lag_cap = self.adaptive_lag.map_or(self.max_lag, |cfg| cfg.cap);
         let k = algo.partitions();
         if k == 0 {
             return SessionOutcome {
@@ -753,9 +626,7 @@ impl AsyncFixedPointDriver {
                     rolled_back_iterations: 0,
                     checkpoint_bytes: 0,
                     peak_state_bytes: 0,
-                    deferred_launches: 0,
-                    max_lag: lag_cap,
-                    peak_effective_lag: 0,
+                    max_lag: self.max_lag,
                     wall_time: started.elapsed(),
                     pool: pool.metrics().since(&pool_before),
                     trace: None,
@@ -774,11 +645,9 @@ impl AsyncFixedPointDriver {
         let mut sess = Session::new(
             algo,
             self.max_iterations.max(1),
-            lag_cap,
-            self.adaptive_lag,
+            self.max_lag,
             self.checkpoints,
             self.node_failures,
-            self.runahead_byte_budget,
             recorder.clone().map(|rec| SessionObs::new(rec, k)),
         );
         let mut initial = Vec::new();
@@ -865,7 +734,7 @@ impl AsyncFixedPointDriver {
         if recorder.is_some() {
             pool.set_park_observer(None);
         }
-        sess.finish(lag_cap, started.elapsed(), pool.metrics().since(&pool_before))
+        sess.finish(started.elapsed(), pool.metrics().since(&pool_before))
     }
 }
 
@@ -965,18 +834,11 @@ struct Session<S, U, M> {
     parts: Vec<Part<S, U, M>>,
     k: usize,
     max_iterations: usize,
-    /// The staleness *cap*: the fixed `max_lag`, or
-    /// [`AdaptiveLagConfig::cap`] with the controller installed.
-    /// Retention, convergence windows, and runahead all use this;
-    /// only `try_absorb`'s admission test uses the effective window.
+    /// The staleness bound: the one admission rule (absorb on batches
+    /// no older than `max_lag`, launch no further than
+    /// `frontier + max_lag + RUNAHEAD_SLACK`), and the size of mailbox
+    /// retention and the convergence window.
     max_lag: usize,
-    /// The adaptive-staleness controller, if installed.
-    adaptive: Option<AdaptiveLagConfig>,
-    /// Per-partition EWMA of observed dependency-arrival slack
-    /// (iterations behind) — the adaptive controller's state.
-    lag_ewma: Vec<f64>,
-    /// Widest effective window any admission test used.
-    peak_effective_lag: usize,
     /// Per-iteration: partitions that absorbed it.
     absorbed_count: Vec<usize>,
     /// Per-iteration: max absorb delta so far.
@@ -1027,11 +889,6 @@ struct Session<S, U, M> {
     held_msg_bytes: u64,
     /// High-water mark of `held_state_bytes + held_msg_bytes`.
     peak_state_bytes: u64,
-    /// Cost-aware runahead budget (see
-    /// [`AsyncFixedPointDriver::runahead_byte_budget`]).
-    byte_budget: Option<u64>,
-    /// Speculative launches the byte budget deferred.
-    deferred_launches: usize,
     /// Recycled outboxes awaiting the next launch (all pool traffic is
     /// on the scheduler thread; no locks).
     outbox_pool: Vec<Outbox<M>>,
@@ -1044,15 +901,12 @@ struct Session<S, U, M> {
 }
 
 impl<S: Send + Sync, U: Send, M: Send> Session<S, U, M> {
-    #[allow(clippy::too_many_arguments)]
     fn new<A>(
         algo: &A,
         max_iterations: usize,
         max_lag: usize,
-        adaptive: Option<AdaptiveLagConfig>,
         checkpoints: CheckpointPolicy,
         node_plan: NodeFailurePlan,
-        byte_budget: Option<u64>,
         obs: Option<SessionObs>,
     ) -> Self
     where
@@ -1110,9 +964,6 @@ impl<S: Send + Sync, U: Send, M: Send> Session<S, U, M> {
             k,
             max_iterations,
             max_lag,
-            adaptive,
-            lag_ewma: vec![adaptive.map_or(0.0, |cfg| cfg.floor as f64); k],
-            peak_effective_lag: 0,
             absorbed_count: Vec::new(),
             max_delta: Vec::new(),
             iter_ops: Vec::new(),
@@ -1136,8 +987,6 @@ impl<S: Send + Sync, U: Send, M: Send> Session<S, U, M> {
             peak_state_bytes: held_state_bytes,
             held_state_bytes,
             held_msg_bytes: 0,
-            byte_budget,
-            deferred_launches: 0,
             outbox_pool: Vec::new(),
             batch_pool: Vec::new(),
             obs,
@@ -1154,26 +1003,6 @@ impl<S: Send + Sync, U: Send, M: Send> Session<S, U, M> {
     /// A pooled empty outbox for the next launch.
     fn take_outbox(&mut self) -> Outbox<M> {
         self.outbox_pool.pop().unwrap_or_else(|| Outbox::new(self.k))
-    }
-
-    /// The partition's current staleness window: the adaptive
-    /// controller's EWMA rounded up and clamped to `[floor, cap]`, or
-    /// the fixed `max_lag` with the controller off. `cap = 0` pins
-    /// this to 0 everywhere — the barrier-identical contract.
-    fn effective_lag(&self, p: usize) -> usize {
-        match self.adaptive {
-            Some(cfg) => (self.lag_ewma[p].ceil() as usize).clamp(cfg.floor, cfg.cap),
-            None => self.max_lag,
-        }
-    }
-
-    /// Feeds one observed dependency-arrival slack (iterations behind)
-    /// into the partition's EWMA. No-op with the controller off.
-    fn observe_lag(&mut self, p: usize, slack: usize) {
-        if let Some(cfg) = self.adaptive {
-            let e = &mut self.lag_ewma[p];
-            *e += cfg.alpha * (slack as f64 - *e);
-        }
     }
 
     /// Updates the held-bytes high-water mark.
@@ -1202,7 +1031,7 @@ impl<S: Send + Sync, U: Send, M: Send> Session<S, U, M> {
     }
 
     /// Launches the partition's next gmap if its state is ready and the
-    /// caps (iteration budget, runahead slack, byte budget) allow it.
+    /// caps (iteration budget, runahead slack) allow it.
     fn make_launch(&mut self, p: usize) -> Option<Launch<S, M>> {
         if self.stopped {
             return None;
@@ -1214,25 +1043,6 @@ impl<S: Send + Sync, U: Send, M: Send> Session<S, U, M> {
             || part.launched > runahead_cap
         {
             return None;
-        }
-        // Cost-aware runahead: defer a *speculative* launch (one past
-        // the globally-complete frontier) while held bytes are at the
-        // budget. Frontier-level launches always go — they are what
-        // advances the frontier, whose `push_launch` sweep retries
-        // every deferred partition — so the session cannot stall:
-        // a tight budget degrades toward barrier pacing, never below.
-        if part.launched > self.frontier {
-            if let Some(budget) = self.byte_budget {
-                if self.held_state_bytes + self.held_msg_bytes >= budget {
-                    let iter = part.launched;
-                    let held = self.held_state_bytes + self.held_msg_bytes;
-                    self.deferred_launches += 1;
-                    if let Some(obs) = self.obs.as_mut() {
-                        obs.mark(MarkKind::RunaheadDeferral, p, iter, held);
-                    }
-                    return None;
-                }
-            }
         }
         let outbox = self.take_outbox();
         let part = &mut self.parts[p];
@@ -1428,52 +1238,21 @@ impl<S: Send + Sync, U: Send, M: Send> Session<S, U, M> {
         debug_assert_eq!(i, self.parts[p].absorbed, "absorbs are strictly in iteration order");
 
         // Staleness bound: per dependency, use the freshest batch of
-        // iteration ≤ i, requiring it be ≥ i − the partition's
-        // *effective* window (= max_lag with the adaptive controller
-        // off, never above its cap with it on).
-        let eff = self.effective_lag(p);
-        self.peak_effective_lag = self.peak_effective_lag.max(eff);
-        if let Some(obs) = self.obs.as_mut() {
-            // The effective-lag trajectory: one mark per change (the
-            // first admission test always emits the starting window).
-            if obs.last_window[p] != eff as u64 {
-                obs.last_window[p] = eff as u64;
-                obs.mark(MarkKind::LagWindow, p, i, eff as u64);
-            }
-        }
-        let min_fresh = i.saturating_sub(eff);
+        // iteration ≤ i, requiring it be ≥ i − max_lag. A missing or
+        // too-stale batch blocks the parked absorb.
+        let min_fresh = i.saturating_sub(self.max_lag);
         let mut selected = Vec::with_capacity(self.parts[p].deps.len());
-        let mut slack = 0usize;
-        let mut too_stale = None;
         for mb in &self.parts[p].mailbox {
-            let Some((&key, _)) = mb.range(..=i).next_back() else {
-                // Not delivered yet: the parked absorb is blocked.
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.open_stall(p, i);
+            match mb.range(..=i).next_back() {
+                Some((&key, _)) if key >= min_fresh => selected.push(key),
+                _ => {
+                    if let Some(obs) = self.obs.as_mut() {
+                        obs.open_stall(p, i);
+                    }
+                    return;
                 }
-                return;
-            };
-            if key < min_fresh {
-                too_stale = Some(i - key);
-                break;
             }
-            slack = slack.max(i - key);
-            selected.push(key);
         }
-        if let Some(needed) = too_stale {
-            // Blocked on staleness: feed the slack this absorb *would*
-            // have needed into the EWMA, widening the window toward it
-            // (up to the cap) so a persistent straggler stops stalling
-            // its consumers.
-            self.observe_lag(p, needed);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.open_stall(p, i);
-            }
-            return;
-        }
-        // Admitted: the realized slack narrows the window back down
-        // when dependencies run fresh.
-        self.observe_lag(p, slack);
         if let Some(obs) = self.obs.as_mut() {
             obs.close_stall(p);
         }
@@ -1623,10 +1402,13 @@ impl<S: Send + Sync, U: Send, M: Send> Session<S, U, M> {
             // per frontier advance (the epoch counts advances, so a
             // re-advance over rolled-back ground draws fresh verdicts
             // and the session cannot livelock on one fatal epoch).
+            // Only nodes that host a partition (`node_of(p) = p %
+            // num_nodes`, so nodes below `k`) can die: an empty node's
+            // death loses nothing and must not count as a rollback.
             if self.node_plan.enabled() {
                 let epoch = self.epoch;
                 self.epoch += 1;
-                let fired: Vec<usize> = (0..self.node_plan.num_nodes)
+                let fired: Vec<usize> = (0..self.node_plan.num_nodes.min(self.k))
                     .filter(|&n| {
                         self.node_deaths[n] < self.node_plan.max_node_failures
                             && self.node_plan.node_fails(n, epoch)
@@ -1671,10 +1453,6 @@ impl<S: Send + Sync, U: Send, M: Send> Session<S, U, M> {
         let rollback_t0 = self.obs.as_ref().map(|obs| obs.recorder.now_ns());
         let c = self.ckpt.last_checkpoint();
         debug_assert!(c <= self.frontier, "checkpoints are declared at frontier advances");
-        // Delivered-bytes accounting restarts at the checkpoint the
-        // frontier rewinds to (byte-budget policies would otherwise
-        // double-count the re-advanced ground).
-        self.ckpt.on_rollback();
 
         // Seed: partitions resident on a dead node.
         let mut affected = vec![false; self.k];
@@ -1813,12 +1591,7 @@ impl<S: Send + Sync, U: Send, M: Send> Session<S, U, M> {
     /// Builds the outcome: final states at the result iteration, meters
     /// over contributing iterations only, and the contributing slice of
     /// the schedule (speculative tasks filtered out, indices remapped).
-    fn finish(
-        mut self,
-        max_lag: usize,
-        wall_time: Duration,
-        pool: PoolMetrics,
-    ) -> SessionOutcome<S> {
+    fn finish(mut self, wall_time: Duration, pool: PoolMetrics) -> SessionOutcome<S> {
         let (iterations, converged) = match self.converged_at {
             Some(f) => (f + 1, true),
             None => (self.frontier, false),
@@ -1880,13 +1653,7 @@ impl<S: Send + Sync, U: Send, M: Send> Session<S, U, M> {
             rolled_back_iterations: self.rolled_back_iterations,
             checkpoint_bytes: self.ckpt.checkpoint_bytes(),
             peak_state_bytes: self.peak_state_bytes,
-            deferred_launches: self.deferred_launches,
-            max_lag,
-            peak_effective_lag: if self.adaptive.is_some() {
-                self.peak_effective_lag
-            } else {
-                max_lag
-            },
+            max_lag: self.max_lag,
             wall_time,
             pool,
             trace,
@@ -2075,144 +1842,6 @@ mod tests {
         }
     }
 
-    /// A ring with one deliberately slow partition (its gmap sleeps),
-    /// so consumers observe positive dependency-arrival slack.
-    struct StragglerRing {
-        inner: Ring,
-        slow: usize,
-        delay: Duration,
-    }
-
-    impl AsyncIterative for StragglerRing {
-        type State = f64;
-        type Update = f64;
-        type Msg = f64;
-
-        fn partitions(&self) -> usize {
-            self.inner.partitions()
-        }
-
-        fn dependencies(&self, p: usize) -> Dependence {
-            self.inner.dependencies(p)
-        }
-
-        fn init_state(&self, p: usize) -> f64 {
-            self.inner.init_state(p)
-        }
-
-        fn gmap(
-            &self,
-            p: usize,
-            iteration: usize,
-            state: &f64,
-            outbox: &mut Outbox<f64>,
-        ) -> GmapOutput<f64> {
-            if p == self.slow {
-                std::thread::sleep(self.delay);
-            }
-            self.inner.gmap(p, iteration, state, outbox)
-        }
-
-        fn absorb(
-            &self,
-            p: usize,
-            iteration: usize,
-            state: &f64,
-            update: f64,
-            inbox: &[(usize, &[f64])],
-        ) -> Absorbed<f64> {
-            self.inner.absorb(p, iteration, state, update, inbox)
-        }
-
-        fn converged(&self, max_delta: f64) -> bool {
-            self.inner.converged(max_delta)
-        }
-    }
-
-    #[test]
-    fn adaptive_lag_cap_zero_is_bitwise_identical_to_the_barrier() {
-        let algo = Ring::new(9, 1e-10, true);
-        let driver = AsyncFixedPointDriver::new(500)
-            .with_adaptive_lag(AdaptiveLagConfig::new(0).with_alpha(1.0));
-        let outcome = driver.run(&pool(), &algo);
-        let (oracle, iters, converged) = run_barrier(&algo, 500);
-        assert!(converged && outcome.report.converged);
-        assert_eq!(outcome.report.global_iterations, iters);
-        assert_eq!(outcome.report.max_lag, 0);
-        assert_eq!(outcome.report.peak_effective_lag, 0);
-        for (p, (got, want)) in outcome.states.iter().zip(&oracle).enumerate() {
-            assert_eq!(got.to_bits(), want.to_bits(), "partition {p}: {got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn adaptive_lag_respects_the_cap_and_reaches_the_fixpoint() {
-        let algo = Ring::new(8, 1e-12, true);
-        let exact = AsyncFixedPointDriver::new(2_000).run(&pool(), &algo);
-        let adaptive = AsyncFixedPointDriver::new(2_000)
-            .with_adaptive_lag(AdaptiveLagConfig::new(3).with_floor(1).with_alpha(0.5))
-            .run(&pool(), &algo);
-        assert!(exact.report.converged && adaptive.report.converged);
-        assert_eq!(adaptive.report.max_lag, 3, "report carries the cap");
-        assert!(
-            (1..=3).contains(&adaptive.report.peak_effective_lag),
-            "effective window must stay in [floor, cap], got {}",
-            adaptive.report.peak_effective_lag
-        );
-        for (x, y) in exact.states.iter().zip(&adaptive.states) {
-            assert!(
-                (*x.as_ref() - *y.as_ref()).abs() < 1e-9,
-                "adaptive fixpoint drifted: {x} vs {y}"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_lag_widens_under_a_straggler() {
-        let algo = StragglerRing {
-            inner: Ring::new(4, 1e-10, true),
-            slow: 0,
-            delay: Duration::from_millis(3),
-        };
-        let outcome = AsyncFixedPointDriver::new(400)
-            .with_adaptive_lag(AdaptiveLagConfig::new(4).with_alpha(1.0))
-            .run(&pool(), &algo);
-        assert!(outcome.report.converged);
-        assert!(
-            outcome.report.peak_effective_lag >= 1,
-            "a persistent straggler must widen some consumer's window"
-        );
-        assert!(outcome.report.peak_effective_lag <= 4, "never past the cap");
-        let (oracle, _, converged) = run_barrier(&algo.inner, 400);
-        assert!(converged);
-        for (x, y) in outcome.states.iter().zip(&oracle) {
-            assert!(
-                (*x.as_ref() - y).abs() < 1e-8,
-                "stale reads must still reach the contraction fixpoint: {x} vs {y}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "lag cap 1 below floor 3")]
-    fn literally_constructed_lag_cap_below_floor_is_rejected_at_injection() {
-        let driver = AsyncFixedPointDriver {
-            adaptive_lag: Some(AdaptiveLagConfig { cap: 1, floor: 3, alpha: 0.5 }),
-            ..AsyncFixedPointDriver::new(10)
-        };
-        driver.run(&pool(), &Ring::new(3, 1e-6, true));
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in (0, 1]")]
-    fn literally_constructed_adaptive_alpha_out_of_range_is_rejected_at_injection() {
-        let driver = AsyncFixedPointDriver {
-            adaptive_lag: Some(AdaptiveLagConfig { cap: 2, floor: 0, alpha: 0.0 }),
-            ..AsyncFixedPointDriver::new(10)
-        };
-        driver.run(&pool(), &Ring::new(3, 1e-6, true));
-    }
-
     #[test]
     fn iteration_cap_stops_an_unconverged_run() {
         let algo = Ring::new(5, 0.0, true); // tolerance 0: never converges
@@ -2385,19 +2014,6 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_checkpoints_declare_and_meter() {
-        let algo = Ring::new(6, 1e-10, true);
-        // 6 partitions × 8 bytes = 48 bytes/iteration; a 100-byte
-        // budget declares roughly every 3rd frontier advance.
-        let out = AsyncFixedPointDriver::new(500)
-            .with_checkpoints(CheckpointPolicy::ByteBudget(100))
-            .run(&pool(), &algo);
-        assert!(out.report.converged);
-        assert!(out.report.checkpoint_bytes > 0, "the budget must trigger checkpoints");
-        assert_eq!(out.report.checkpoint_bytes % 48, 0, "whole snapshots only");
-    }
-
-    #[test]
     fn node_failure_rollback_leaves_the_fixpoint_bitwise_identical() {
         let algo = Ring::new(8, 1e-10, true);
         let p = pool();
@@ -2479,6 +2095,35 @@ mod tests {
     }
 
     #[test]
+    fn deaths_of_nodes_that_host_no_partition_are_not_rollbacks() {
+        // Two partitions live on nodes 0 and 1; nodes 2..16 host
+        // nothing. Only the two hosting nodes may die, each at most
+        // `max_node_failures` times.
+        let algo = Ring::new(2, 1e-8, true);
+        let p = pool();
+        let clean = AsyncFixedPointDriver::new(300).run(&p, &algo);
+        let plan = NodeFailurePlan {
+            node_failure_prob: 0.9,
+            num_nodes: 16,
+            max_node_failures: 3,
+            seed: 4,
+        };
+        let faulty = AsyncFixedPointDriver::new(300)
+            .with_checkpoints(CheckpointPolicy::EveryK(1))
+            .with_node_failures(plan)
+            .run(&p, &algo);
+        assert!(faulty.report.converged);
+        assert!(
+            faulty.report.rollbacks <= 2 * 3,
+            "{} rollbacks from 2 hosting nodes with a budget of 3 each",
+            faulty.report.rollbacks
+        );
+        for (x, y) in clean.states.iter().zip(&faulty.states) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "requires a checkpoint policy")]
     fn node_failures_without_checkpoints_are_rejected() {
         let algo = Ring::new(3, 1e-6, true);
@@ -2512,74 +2157,6 @@ mod tests {
             outcome.report.global_iterations * 6,
             "every contributing (p, iter) executes exactly once"
         );
-    }
-
-    #[test]
-    fn runahead_budget_keeps_lag_zero_bitwise_identical() {
-        // A 1-byte budget is always exceeded (the session holds at
-        // least one state per partition), so every speculative launch
-        // defers: the schedule degrades to barrier pacing while the
-        // results and iteration count stay bitwise identical.
-        let algo = Ring::new(8, 1e-10, true);
-        let p = pool();
-        let free = AsyncFixedPointDriver::new(500).run(&p, &algo);
-        let tight = AsyncFixedPointDriver::new(500).with_runahead_budget(1).run(&p, &algo);
-        assert!(tight.report.converged);
-        assert_eq!(free.report.global_iterations, tight.report.global_iterations);
-        assert_eq!(free.report.gmap_tasks, tight.report.gmap_tasks);
-        assert!(tight.report.deferred_launches > 0, "a 1-byte budget must defer speculation");
-        assert_eq!(free.report.deferred_launches, 0, "no budget, no deferrals");
-        for (i, (x, y)) in free.states.iter().zip(&tight.states).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "partition {i} diverged under the byte budget");
-        }
-        // Barrier pacing admits no speculation past convergence.
-        assert_eq!(tight.report.speculative_tasks, 0);
-    }
-
-    #[test]
-    fn runahead_budget_respects_max_lag_semantics() {
-        // The budget only removes speculation; it must never let a
-        // lagged session consume staler messages or converge elsewhere.
-        let algo = Ring::new(8, 1e-12, true);
-        let p = pool();
-        let exact = AsyncFixedPointDriver::new(2_000).run(&p, &algo);
-        let tight = AsyncFixedPointDriver::new(2_000)
-            .with_max_lag(2)
-            .with_runahead_budget(1)
-            .run(&p, &algo);
-        assert!(exact.report.converged && tight.report.converged);
-        assert_eq!(tight.report.max_lag, 2);
-        for (x, y) in exact.states.iter().zip(&tight.states) {
-            assert!(
-                (*x.as_ref() - *y.as_ref()).abs() < 1e-9,
-                "budgeted + lagged fixpoint drifted: {x} vs {y}"
-            );
-        }
-    }
-
-    #[test]
-    fn generous_runahead_budget_never_defers() {
-        let algo = Ring::new(6, 1e-9, true);
-        let out =
-            AsyncFixedPointDriver::new(400).with_runahead_budget(u64::MAX).run(&pool(), &algo);
-        assert!(out.report.converged);
-        assert_eq!(out.report.deferred_launches, 0);
-    }
-
-    #[test]
-    fn runahead_budget_composes_with_failure_injection() {
-        let algo = Ring::new(7, 1e-9, true);
-        let p = pool();
-        let clean = AsyncFixedPointDriver::new(400).run(&p, &algo);
-        let chaotic = AsyncFixedPointDriver::new(400)
-            .with_runahead_budget(1)
-            .with_failures(SessionFailurePlan::transient(0.3, 21))
-            .run(&p, &algo);
-        assert!(chaotic.report.failed_attempts > 0);
-        assert_eq!(clean.report.global_iterations, chaotic.report.global_iterations);
-        for (x, y) in clean.states.iter().zip(&chaotic.states) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]

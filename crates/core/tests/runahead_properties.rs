@@ -1,12 +1,11 @@
-//! Property tests pinning the cost-aware runahead budget to its
-//! contract: `runahead_byte_budget` is a *scheduling* knob, never a
-//! *semantics* knob. For any ring size, `max_lag`, and budget — down
-//! to a budget of a single byte, which serializes every speculative
-//! launch — the session must converge to bitwise-identical states with
-//! the identical iteration count as the unbudgeted run at the same
-//! `max_lag`, and its report must stay internally consistent
-//! (`gmap_tasks = iterations × partitions`, deferrals only when
-//! speculation was possible at all).
+//! Property test pinning the session's one admission rule at every
+//! lag: a partition absorbs on batches no older than `max_lag`
+//! iterations, so the recorded schedule never consumes a producer
+//! output older than `task.iteration − 1 − max_lag`, stays
+//! topologically ordered, and converges to the contraction's unique
+//! fixpoint. `max_lag > 0` runs are schedule-dependent in their
+//! stopping point, so the check is fixpoint agreement with lag 0, not
+//! bitwise identity.
 
 use asyncmr_core::prelude::*;
 use asyncmr_core::session::SessionReport;
@@ -100,135 +99,30 @@ impl AsyncIterative for Ring {
     }
 }
 
-fn run(algo: &Ring, max_lag: usize, budget: Option<u64>) -> (Vec<f64>, SessionReport) {
+fn run(algo: &Ring, max_lag: usize) -> (Vec<f64>, SessionReport) {
     let pool = ThreadPool::new(4);
-    let mut driver = AsyncFixedPointDriver::new(500).with_max_lag(max_lag);
-    if let Some(b) = budget {
-        driver = driver.with_runahead_budget(b);
-    }
-    let outcome = driver.run(&pool, algo);
-    (outcome.states.iter().map(|s| **s).collect(), outcome.report)
-}
-
-fn run_adaptive(algo: &Ring, cfg: AdaptiveLagConfig) -> (Vec<f64>, SessionReport) {
-    let pool = ThreadPool::new(4);
-    let outcome = AsyncFixedPointDriver::new(500).with_adaptive_lag(cfg).run(&pool, algo);
+    let outcome = AsyncFixedPointDriver::new(500).with_max_lag(max_lag).run(&pool, algo);
     (outcome.states.iter().map(|s| **s).collect(), outcome.report)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The straggler-adaptive controller is bounded by its cap at
-    /// every setting: the reported peak effective window stays in
-    /// `[floor, cap]`, no consumed input in the kept schedule is more
-    /// than `cap` iterations stale, the run converges to the
-    /// contraction's unique fixpoint — and `cap = 0` remains
-    /// bitwise-identical to the fixed lag-0 (barrier-identical) run.
+    /// At every lag, every consumed input in the kept schedule is at
+    /// most `max_lag` iterations stale, the schedule stays
+    /// topologically ordered, the run still converges to the
+    /// contraction's unique fixpoint, and the kept schedule covers
+    /// exactly `iterations × partitions` gmaps.
     #[test]
-    fn adaptive_lag_never_exceeds_its_cap(
-        k in 1usize..10,
-        cap in 0usize..4,
-        floor_sel in 0usize..3,
-        alpha_idx in 0usize..3,
-    ) {
-        let floor = [0, cap / 2, cap][floor_sel];
-        let alpha = [0.25, 0.5, 1.0][alpha_idx];
-        let algo = Ring::new(k, 1e-10);
-        let (free_states, free_report) = run(&algo, 0, None);
-        prop_assert!(free_report.converged);
-
-        let cfg = AdaptiveLagConfig::new(cap).with_floor(floor).with_alpha(alpha);
-        let (states, report) = run_adaptive(&algo, cfg);
-        prop_assert!(report.converged);
-        prop_assert_eq!(report.max_lag, cap, "report must carry the cap");
-        prop_assert!(
-            report.peak_effective_lag <= cap,
-            "peak effective lag {} exceeded cap {}", report.peak_effective_lag, cap
-        );
-        prop_assert!(
-            report.peak_effective_lag >= floor,
-            "peak effective lag {} below floor {}", report.peak_effective_lag, floor
-        );
-
-        // Staleness bound on the recorded schedule itself: a task at
-        // iteration i consumes producer outputs no older than
-        // i − 1 − cap, whatever window the EWMA actually used.
-        for (idx, task) in report.schedule.iter().enumerate() {
-            for &d in &task.deps {
-                prop_assert!(d < idx, "schedule not topological at task {}", idx);
-                let producer = &report.schedule[d];
-                prop_assert!(
-                    producer.iteration + 1 + cap >= task.iteration,
-                    "task {} (iter {}) consumed iter {} — staleness exceeds cap {}",
-                    idx, task.iteration, producer.iteration, cap
-                );
-            }
-        }
-
-        for (p, (got, want)) in states.iter().zip(&free_states).enumerate() {
-            prop_assert!((got - want).abs() < 1e-8,
-                "partition {}: {} vs {} (cap {})", p, got, want, cap);
-        }
-        if cap == 0 {
-            prop_assert_eq!(report.global_iterations, free_report.global_iterations,
-                "cap 0 must reproduce the barrier-identical iteration count");
-            for (p, (got, want)) in states.iter().zip(&free_states).enumerate() {
-                prop_assert_eq!(got.to_bits(), want.to_bits(),
-                    "partition {}: cap 0 must be bitwise-identical to lag 0", p);
-            }
-        }
-    }
-
-    /// At `max_lag = 0` — the byte-identity regime — any byte budget
-    /// gives the bitwise-identical fixpoint, the identical iteration
-    /// count, and identical work accounting vs the unbudgeted run.
-    /// (Lag > 0 runs are schedule-dependent in their stopping point by
-    /// design, so bitwise identity is only the lag-0 contract.)
-    #[test]
-    fn budget_never_changes_lag0_results(
-        k in 1usize..10,
-        budget_idx in 0usize..5,
-    ) {
-        let budget = [1u64, 16, 64, 1_000, u64::MAX][budget_idx];
-        let algo = Ring::new(k, 1e-10);
-        let (free_states, free_report) = run(&algo, 0, None);
-        let (states, report) = run(&algo, 0, Some(budget));
-
-        prop_assert!(report.converged && free_report.converged);
-        prop_assert_eq!(report.global_iterations, free_report.global_iterations,
-            "budget {} changed the iteration count", budget);
-        for (p, (got, want)) in states.iter().zip(&free_states).enumerate() {
-            prop_assert_eq!(got.to_bits(), want.to_bits(),
-                "partition {}: {} vs {} under budget {}", p, got, want, budget);
-        }
-        // Work accounting must be budget-invariant too: the kept
-        // schedule is the same computation.
-        prop_assert_eq!(report.total_ops, free_report.total_ops);
-        prop_assert_eq!(report.gmap_tasks, free_report.gmap_tasks);
-        prop_assert_eq!(report.local_syncs, free_report.local_syncs);
-    }
-
-    /// At every lag, a budget may only *reshape the schedule*, never
-    /// violate the `max_lag` semantics: every consumed input in the
-    /// kept schedule is at most `max_lag` iterations stale, the
-    /// schedule stays topologically ordered, the run still converges
-    /// to the contraction's unique fixpoint, and the kept schedule
-    /// covers exactly `iterations × partitions` gmaps.
-    #[test]
-    fn budget_never_violates_max_lag_semantics(
+    fn schedule_never_violates_max_lag_semantics(
         k in 1usize..10,
         max_lag in 0usize..3,
-        budget_idx in 0usize..4,
     ) {
-        let budget = [1u64, 32, 1_000, u64::MAX][budget_idx];
         let algo = Ring::new(k, 1e-10);
-        let (free_states, free_report) = run(&algo, 0, None);
+        let (free_states, free_report) = run(&algo, 0);
         prop_assert!(free_report.converged);
-        prop_assert_eq!(free_report.deferred_launches, 0,
-            "unbudgeted run must never defer");
 
-        let (states, report) = run(&algo, max_lag, Some(budget));
+        let (states, report) = run(&algo, max_lag);
         prop_assert!(report.converged);
         prop_assert_eq!(report.max_lag, max_lag);
         prop_assert_eq!(report.gmap_tasks, report.global_iterations * k);
@@ -248,12 +142,12 @@ proptest! {
             }
         }
 
-        // The contraction has one fixpoint: whatever the lag or
-        // budget, the converged states agree with the lag-0 run to
+        // The contraction has one fixpoint: whatever the lag, the
+        // converged states agree with the lag-0 run to
         // fixpoint-resolution (stopping points differ below 1e-10).
         for (p, (got, want)) in states.iter().zip(&free_states).enumerate() {
             prop_assert!((got - want).abs() < 1e-8,
-                "partition {}: {} vs {} (lag {}, budget {})", p, got, want, max_lag, budget);
+                "partition {}: {} vs {} (lag {})", p, got, want, max_lag);
         }
     }
 }
